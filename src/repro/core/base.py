@@ -171,7 +171,8 @@ def scan_disk_and_join(
 
     Reads the extent sequentially through a ``buffer_blocks`` window
     (issued as at least :data:`MIN_DISK_REQUEST_BLOCKS`-block requests) and
-    folds each piece's mini-join into the environment's accumulator.
+    folds each piece's mini-join into the environment's accumulator.  Each
+    piece's build is made once per join and probed by every S chunk.
     """
     from repro.relational.join_core import hash_join
 
@@ -181,7 +182,8 @@ def scan_disk_and_join(
     while offset < total - 1e-9:
         step = min(piece, total - offset)
         data = yield from env.array.read_range(extent, offset, step)
-        env.accumulator.add(hash_join(data.keys, probe_keys))
+        build = env.build_side((extent,), offset, step, data.keys)
+        env.accumulator.add(hash_join(build, probe_keys))
         offset += step
     env.count_r_scan()
 
@@ -193,6 +195,7 @@ def join_buffered_bucket(
     iteration: int,
     tag: object,
     read_r_range: typing.Callable[[float, float], typing.Generator],
+    r_sources: tuple,
     r_total_blocks: float,
 ) -> typing.Generator:
     """Join one R bucket with its S bucket in the interleaved buffer.
@@ -204,6 +207,10 @@ def join_buffered_bucket(
     the R bucket in memory-sized pieces, re-reading the S bucket once per
     piece and releasing its space only at the end.  Returns True when the
     spill path ran.
+
+    ``r_sources`` are the disk extents or tape files ``read_r_range``
+    reads; they key the R bucket's build, which is made once per join
+    and reused by every iteration.
     """
     from repro.relational.join_core import hash_join
 
@@ -212,12 +219,13 @@ def join_buffered_bucket(
     if r_total_blocks <= available + 1e-9:
         r_data = yield from read_r_range(0.0, r_total_blocks)
         env.memory.take(r_data.n_blocks, "R bucket")
+        build = env.build_side(r_sources, 0.0, r_total_blocks, r_data.keys)
         try:
             while True:
                 piece = yield from sbuf.pop_coalesced(iteration, tag, probe)
                 if piece is None:
                     break
-                env.accumulator.add(hash_join(r_data.keys, piece.keys))
+                env.accumulator.add(hash_join(build, piece.keys))
         finally:
             # A media error mid-stream must not leak the bucket's memory:
             # the checkpointed restart re-takes it on the next attempt.
@@ -231,6 +239,7 @@ def join_buffered_bucket(
         step = min(piece_blocks, r_total_blocks - offset)
         r_piece = yield from read_r_range(offset, step)
         env.memory.take(r_piece.n_blocks, "R bucket piece")
+        build = env.build_side(r_sources, offset, step, r_piece.keys)
         try:
             cursor = 0
             while True:
@@ -239,7 +248,7 @@ def join_buffered_bucket(
                 )
                 if piece is None:
                     break
-                env.accumulator.add(hash_join(r_piece.keys, piece.keys))
+                env.accumulator.add(hash_join(build, piece.keys))
         finally:
             env.memory.give(r_piece.n_blocks)
         offset += step

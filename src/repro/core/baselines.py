@@ -35,7 +35,7 @@ from repro.core.base import (
 from repro.core.environment import JoinEnvironment
 from repro.core.requirements import NB_R_SCAN_FRACTION, ResourceRequirements
 from repro.core.spec import JoinSpec
-from repro.relational.join_core import hash_join
+from repro.relational.join_core import HashBuild, hash_join
 
 
 class StagedDiskJoin(TertiaryJoinMethod):
@@ -132,11 +132,12 @@ class StagedDiskJoin(TertiaryJoinMethod):
                     continue
                 r_data = yield from env.array.read_all(r_buckets[bucket], consume=True)
                 env.memory.take(r_data.n_blocks, "R bucket")
+                build = HashBuild(r_data.keys)
                 while s_buckets[bucket].n_blocks > 1e-9:
                     piece = yield from env.array.read_coalesced(
                         s_buckets[bucket], layout.probe_blocks
                     )
-                    env.accumulator.add(hash_join(r_data.keys, piece.keys))
+                    env.accumulator.add(hash_join(build, piece.keys))
                 env.memory.give(r_data.n_blocks)
             env.count_r_scan()
             env.count_iteration()
@@ -186,8 +187,8 @@ class NaiveTapeNestedLoop(TertiaryJoinMethod):
                 r_data = yield from env.drive_r.read_range(env.file_r, offset, step)
                 offset += step
 
-                def probe_s(data, r_keys=r_data.keys):
-                    env.accumulator.add(hash_join(r_keys, data.keys))
+                def probe_s(data, build=HashBuild(r_data.keys)):
+                    env.accumulator.add(hash_join(build, data.keys))
                     return
                     yield  # pragma: no cover - generator shape
 

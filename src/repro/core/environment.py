@@ -13,7 +13,7 @@ from repro.core.spec import JoinSpec, JoinStats
 from repro.faults.checkpoint import JoinCheckpoint
 from repro.faults.injector import FaultInjector
 from repro.obs.recorder import JoinObserver
-from repro.relational.join_core import JoinAccumulator
+from repro.relational.join_core import HashBuild, JoinAccumulator
 from repro.simulator.engine import Simulator
 from repro.storage.hierarchy import StorageConfig, StorageSystem
 from repro.storage.tape import TapeVolume
@@ -95,6 +95,8 @@ class JoinEnvironment:
         # Partition sets pinned on behalf of this join; released when the
         # join finalizes, so the catalog never evicts in-flight buckets.
         self._cache_pins = []
+        # (sources, offset, n_blocks) -> (source versions, HashBuild).
+        self._builds: dict = {}
 
     # -- convenient device handles ------------------------------------------------
 
@@ -140,6 +142,29 @@ class JoinEnvironment:
     def count_overflow_bucket(self) -> None:
         """Record one hash bucket processed via the spill (overflow) path."""
         self.overflow_buckets += 1
+
+    def build_side(
+        self, sources: tuple, offset: float, n_blocks: float, keys
+    ) -> HashBuild:
+        """The :class:`HashBuild` of ``keys``, just read from a block range.
+
+        ``keys`` is the content of blocks ``[offset, offset + n_blocks)``
+        of ``sources`` (disk extents or tape files, read as one range).
+        A build side is immutable for the join, so the first read of a
+        range builds it and every later mini-join over the same range
+        reuses it.  The sources' mutation counters enforce the
+        invariant: a write, consume, discard or install since the build
+        makes the next call rebuild from the new ``keys``.  Only host
+        work is saved; the caller still performs (and is charged for)
+        every read.
+        """
+        key = (sources, offset, n_blocks)
+        versions = tuple(source.version for source in sources)
+        cached = self._builds.get(key)
+        if cached is None or cached[0] != versions:
+            cached = (versions, HashBuild(keys))
+            self._builds[key] = cached
+        return cached[1]
 
     # -- partition cache (repro.hsm) ------------------------------------------------
 
@@ -209,6 +234,7 @@ class JoinEnvironment:
         drive_r, drive_s = self.drive_r, self.drive_s
         vol_r, vol_s = drive_r.volume, drive_s.volume
         response = self.sim.now
+        self._builds.clear()
         if spec.partition_cache is not None:
             for key in self._cache_pins:
                 spec.partition_cache.unpin(key)

@@ -156,6 +156,9 @@ class DiskTapeGraceHash(_GraceHashBase):
                         if r_extent.n_blocks <= available + 1e-9:
                             r_data = yield from env.array.read_all(r_extent)
                             env.memory.take(r_data.n_blocks, "R bucket")
+                            build = env.build_side(
+                                (r_extent,), 0.0, r_extent.n_blocks, r_data.keys
+                            )
                             try:
                                 # read_coalesced consumes only after a
                                 # successful read, so a restart resumes
@@ -164,9 +167,7 @@ class DiskTapeGraceHash(_GraceHashBase):
                                     piece = yield from env.array.read_coalesced(
                                         s_extent, layout.probe_blocks
                                     )
-                                    env.accumulator.add(
-                                        hash_join(r_data.keys, piece.keys)
-                                    )
+                                    env.accumulator.add(hash_join(build, piece.keys))
                             finally:
                                 env.memory.give(r_data.n_blocks)
                             return
@@ -179,6 +180,9 @@ class DiskTapeGraceHash(_GraceHashBase):
                                 r_extent, r_offset, step
                             )
                             env.memory.take(r_piece.n_blocks, "R bucket piece")
+                            build = env.build_side(
+                                (r_extent,), r_offset, step, r_piece.keys
+                            )
                             try:
                                 s_offset = 0.0
                                 while s_offset < s_extent.n_blocks - 1e-9:
@@ -189,9 +193,7 @@ class DiskTapeGraceHash(_GraceHashBase):
                                     piece = yield from env.array.read_range(
                                         s_extent, s_offset, s_step
                                     )
-                                    env.accumulator.add(
-                                        hash_join(r_piece.keys, piece.keys)
-                                    )
+                                    env.accumulator.add(hash_join(build, piece.keys))
                                     s_offset += s_step
                             finally:
                                 env.memory.give(r_piece.n_blocks)
@@ -272,7 +274,7 @@ class ConcurrentGraceHash(_GraceHashBase):
                         return (yield from join_buffered_bucket(
                             env, layout, sbuf, i, b,
                             lambda off, n, e=e: env.array.read_range(e, off, n),
-                            e.n_blocks,
+                            (e,), e.n_blocks,
                         ))
 
                     key = f"II.{iteration}.b{bucket}"

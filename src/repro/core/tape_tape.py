@@ -38,7 +38,7 @@ from repro.core.requirements import ResourceRequirements
 from repro.core.spec import JoinSpec, ceil_div
 from repro.faults.checkpoint import run_unit
 from repro.relational.hashing import bucket_ids
-from repro.relational.join_core import hash_join
+from repro.relational.join_core import HashBuild, hash_join
 from repro.relational.relation import Relation
 from repro.storage.tape import TapeDrive, TapeFile
 
@@ -280,7 +280,7 @@ class ConcurrentTapeTapeGraceHash(_TapeTapeBase):
                             lambda off, n, fs=fs: read_files_range(
                                 env.drive_r, fs, off, n
                             ),
-                            t,
+                            tuple(fs), t,
                         ))
 
                     key = f"II.{iteration}.b{bucket}"
@@ -384,6 +384,7 @@ class TapeTapeGraceHash(_TapeTapeBase):
                 r_keys, taken = yield proc
                 if index + 1 < len(buckets) and buckets[index + 1] not in pending:
                     spawn(buckets[index + 1])
+                build = HashBuild(r_keys)
                 try:
                     for file_index, tape_file in enumerate(s_files[bucket]):
                         offset = progress.get(file_index, 0.0)
@@ -394,7 +395,7 @@ class TapeTapeGraceHash(_TapeTapeBase):
                             piece = yield from env.drive_r.read_range(
                                 tape_file, offset, step
                             )
-                            env.accumulator.add(hash_join(r_keys, piece.keys))
+                            env.accumulator.add(hash_join(build, piece.keys))
                             offset += step
                             progress[file_index] = offset
                 finally:

@@ -16,6 +16,7 @@ from repro.relational.datagen import (
 )
 from repro.relational.hashing import bucket_ids, partition_keys
 from repro.relational.join_core import (
+    HashBuild,
     JoinAccumulator,
     JoinResult,
     hash_join,
@@ -24,6 +25,7 @@ from repro.relational.join_core import (
 )
 
 __all__ = [
+    "HashBuild",
     "JoinAccumulator",
     "JoinResult",
     "Relation",

@@ -53,6 +53,9 @@ class StripedExtent:
         self.disks = list(disks)
         self.chunks: list[_PlacedChunk] = []
         self.n_blocks = 0.0
+        #: Bumped by every change of content (write, install, bury,
+        #: clear), so a cached summary of a range can tell it is stale.
+        self.version = 0
         self._n_dead = 0
         self._rr = 0
         # Shadow extents give each disk a positioning identity for this
@@ -75,12 +78,19 @@ class StripedExtent:
         """Total tuples currently stored in the extent."""
         return sum(pc.data.n_tuples for pc in self.live_chunks())
 
+    def _add(self, placed: _PlacedChunk) -> None:
+        """Store one chunk (already placed and reserved) at the end."""
+        self.chunks.append(placed)
+        self.n_blocks += placed.data.n_blocks
+        self.version += 1
+
     def _bury(self, placed: _PlacedChunk) -> None:
         """Tombstone one chunk and release its disk space."""
         if not placed.alive or placed.extent is not self:
             raise ValueError(f"chunk not stored in extent {self.name!r}")
         placed.alive = False
         self._n_dead += 1
+        self.version += 1
         self.n_blocks -= placed.data.n_blocks
         for disk, blocks in placed.placement:
             disk._release(blocks)
@@ -96,6 +106,7 @@ class StripedExtent:
         self.chunks = []
         self._n_dead = 0
         self.n_blocks = 0.0
+        self.version += 1
 
     def peek_all(self) -> DataChunk:
         """All content without consuming it."""
@@ -256,8 +267,7 @@ class DiskArray:
             disk._reserve(blocks)
             disk.write_blocks += blocks
         yield from self._parallel_io(extent, placement, "disk-write")
-        extent.chunks.append(_PlacedChunk(chunk, placement, extent))
-        extent.n_blocks += chunk.n_blocks
+        extent._add(_PlacedChunk(chunk, placement, extent))
 
     def install(self, extent: StripedExtent, chunk: DataChunk) -> None:
         """Place already-disk-resident content: space, but no I/O.
@@ -281,8 +291,7 @@ class DiskArray:
             placement = extent._place(chunk.n_blocks)
         for disk, blocks in placement:
             disk._reserve(blocks)
-        extent.chunks.append(_PlacedChunk(chunk, placement, extent))
-        extent.n_blocks += chunk.n_blocks
+        extent._add(_PlacedChunk(chunk, placement, extent))
 
     def write_burst(
         self, writes: list[tuple[StripedExtent, DataChunk]]
@@ -320,8 +329,7 @@ class DiskArray:
         placed_chunks = []
         for extent, chunk, placement in placed_by_write:
             placed = _PlacedChunk(chunk, placement, extent)
-            extent.chunks.append(placed)
-            extent.n_blocks += chunk.n_blocks
+            extent._add(placed)
             placed_chunks.append(placed)
         return placed_chunks
 

@@ -88,6 +88,8 @@ class TapeFile:
         self.start_block = start_block
         self.chunks: list[DataChunk] = []
         self.n_blocks = 0.0
+        #: Bumped by every append, like ``StripedExtent.version``.
+        self.version = 0
         self.closed = False
 
     @property
@@ -113,6 +115,7 @@ class TapeFile:
             raise RuntimeError(f"tape file {self.name!r} is closed")
         self.chunks.append(chunk)
         self.n_blocks += chunk.n_blocks
+        self.version += 1
 
 
 class TapeVolume:
