@@ -49,7 +49,7 @@ def main() -> None:
                 disk_blocks=spec_block.blocks_from_mb(disk_mb),
             )
             try:
-                plan = api.plan(spec)
+                plan = api.plan_join(spec)
             except api.InfeasibleJoinError:
                 rows.append([f"{memory_mb:g}", f"{disk_mb:g}", "-", "-", "-"])
                 continue

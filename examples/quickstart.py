@@ -28,7 +28,7 @@ def main() -> None:
     spec = repro.JoinSpec(r, s, memory_blocks=18.0, disk_blocks=500.0)
 
     # Ask the planner (feasibility via Table 2, ranking via the cost model).
-    plan = api.plan(spec)
+    plan = api.plan_join(spec)
     print(f"\nPlanner ranking for M={spec.memory_blocks:g}, D={spec.disk_blocks:g} blocks:")
     for ranked in plan.ranked:
         print(f"  {ranked.symbol:10s} estimated {ranked.estimated_s:8.0f} s")

@@ -15,9 +15,8 @@ Quick start::
     s = repro.uniform_relation("S", size_mb=100, seed=2)
     spec = repro.JoinSpec(r, s, memory_blocks=18, disk_blocks=500)
 
-    plan = repro.plan_join(spec)           # which method should run?
-    stats = repro.method_by_symbol(plan.chosen).run(spec)
-    print(plan.chosen, f"{stats.response_s:.0f} simulated seconds,",
+    stats = repro.run_join(spec)           # plan, then simulate
+    print(stats.symbol, f"{stats.response_s:.0f} simulated seconds,",
           stats.output.n_pairs, "result tuples")
 
 Subpackages:
@@ -33,9 +32,9 @@ Subpackages:
 * :mod:`repro.service` — the multi-join tape-library scheduler service.
 * :mod:`repro.hsm` — the disk-resident partition cache (HSM layer) for
   cross-join tape reuse.
-* :mod:`repro.api` — the one-stop facade (``run_join``, ``plan``,
-  ``sweep``/``run_sweep``, ``trace``, ``run_service``); everything it
-  exports is also re-exported here (``sweep`` as ``run_sweep``).
+* :mod:`repro.api` — the one-stop facade (``run_join``, ``plan_join``,
+  ``run_sweep``, ``trace``, ``run_service``); its entry points are also
+  re-exported here.
 """
 
 from repro.core import (
@@ -61,9 +60,7 @@ from repro.relational import (
 from repro.storage import BlockSpec, DiskParameters, TapeDriveParameters
 from repro import api
 # The facade's entry points, re-exported for `repro.run_join(...)`-style
-# use.  `api.sweep` is deliberately NOT re-exported here: the name would
-# shadow the `repro.sweep` subpackage on the package object — use the
-# `run_sweep` alias instead (same callable; see docs/sweep.md).
+# use.
 from repro.api import (
     CacheConfig,
     FaultPlan,
@@ -73,11 +70,9 @@ from repro.api import (
     RetryPolicy,
     ServiceConfig,
     WorkloadReport,
-    plan,
     run_join,
     run_service,
     run_sweep,
-    submit,
     trace,
 )
 
@@ -109,14 +104,12 @@ __all__ = [
     "estimate_all",
     "fk_pk_pair",
     "method_by_symbol",
-    "plan",
     "plan_join",
     "reference_join",
     "run_join",
     "run_service",
     "run_sweep",
     "self_join_relation",
-    "submit",
     "symbols",
     "trace",
     "uniform_relation",

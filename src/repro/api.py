@@ -1,27 +1,21 @@
 """The stable facade: one import surface for the whole system.
 
-Three PRs of subsystems (sweeps, faults, observability, and now the
-multi-join service) accreted their own entry points.  This module is
-the one place to import from::
+Each subsystem (sweeps, faults, observability, the multi-join service)
+has one entry point here::
 
     from repro import api
 
     spec = api.JoinSpec(r, s, memory_blocks=18, disk_blocks=500)
-    plan = api.plan(spec)                       # rank the seven methods
+    plan = api.plan_join(spec)                  # rank the seven methods
     stats = api.run_join(spec, trace_out="traces/")
 
-    results = api.sweep(tasks, jobs=4, cache_dir=".sweep-cache")
+    results = api.run_sweep(tasks, jobs=4, cache_dir=".sweep-cache")
 
     report = api.run_service(requests, policy="affinity",
                              fault_rate=0.001, trace_out="traces/")
 
 Keyword names are uniform across entry points: ``jobs=``,
 ``cache_dir=``, ``fault_rate=`` / ``fault_seed=``, ``trace_out=``.
-
-The old package-root imports (``from repro.sweep import SweepRunner``,
-``from repro.faults import FaultPlan``, ...) still work but raise
-:class:`DeprecationWarning` and will be removed two PRs after this
-facade landed; :data:`DEPRECATED_IMPORTS` lists every shimmed path.
 Deep-module imports (``repro.sweep.runner`` etc.) remain supported for
 internal use.
 """
@@ -34,12 +28,18 @@ import typing
 
 from repro.core.planner import JoinPlan, plan_join
 from repro.core.registry import method_by_symbol
-from repro.core.spec import InfeasibleJoinError, JoinSpec, JoinStats
+from repro.core.spec import (
+    InfeasibleJoinError,
+    JoinSpec,
+    JoinStats,
+    JoinVerificationError,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.hsm.cache import CacheConfig, CacheReport, PartitionCache
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.recorder import JoinObserver
+from repro.relational.join_core import reference_join
 from repro.service import (
     JoinRequest,
     JoinService,
@@ -58,33 +58,6 @@ from repro.sweep.tasks import (
     service_task,
 )
 
-#: Every legacy package-root import now behind a deprecation shim, as
-#: (module, name) pairs.  CI imports each one under
-#: ``-W error::DeprecationWarning`` and expects the failure.
-DEPRECATED_IMPORTS: tuple[tuple[str, str], ...] = (
-    ("repro.sweep", "SweepRunner"),
-    ("repro.sweep", "SweepCache"),
-    ("repro.sweep", "SweepTask"),
-    ("repro.sweep", "join_task"),
-    ("repro.sweep", "figure4_task"),
-    ("repro.sweep", "assumption_task"),
-    ("repro.faults", "FaultPlan"),
-    ("repro.faults", "RetryPolicy"),
-    ("repro.obs", "write_jsonl"),
-    ("repro.obs", "write_chrome_trace"),
-    ("repro.experiments", "run_join"),
-)
-
-
-def plan(spec: JoinSpec) -> JoinPlan:
-    """Rank the seven methods for ``spec`` (Table 2 + cost model).
-
-    Alias of :func:`repro.core.planner.plan_join` under the facade's
-    shorter name; raises :class:`InfeasibleJoinError` when no method
-    fits the given resources.
-    """
-    return plan_join(spec)
-
 
 def run_join(
     spec: JoinSpec,
@@ -102,7 +75,8 @@ def run_join(
     :class:`~repro.faults.plan.FaultPlan`; ``trace_out`` enables device
     tracing and writes ``trace-<symbol>.jsonl`` + ``.trace.json`` under
     that directory; ``verify`` checks the simulated output against the
-    in-memory reference join.
+    in-memory reference join and raises :class:`JoinVerificationError`
+    on a mismatch.
     """
     if method is None:
         method = plan_join(spec).chosen
@@ -118,23 +92,18 @@ def run_join(
         spec = dataclasses.replace(spec, **updates)
     stats = method_by_symbol(method).run(spec)
     if verify:
-        from repro.relational.join_core import reference_join
-
         expected = reference_join(spec.relation_r, spec.relation_s)
-        if (expected.n_pairs, expected.checksum) != (
-            stats.output.n_pairs,
-            stats.output.checksum,
-        ):
-            raise AssertionError(
-                f"{method} output diverged from the reference join: "
-                f"{stats.output.n_pairs} pairs vs {expected.n_pairs}"
+        if stats.output != expected:
+            raise JoinVerificationError(
+                f"{method} produced {stats.output} but the reference join "
+                f"is {expected}"
             )
     if trace_out:
         trace(stats, trace_out)
     return stats
 
 
-def sweep(
+def run_sweep(
     tasks: typing.Sequence[SweepTask],
     *,
     jobs: int = 1,
@@ -150,14 +119,6 @@ def sweep(
     cache = SweepCache(cache_dir) if cache_dir else None
     runner = SweepRunner(jobs=jobs, cache=cache, progress=progress)
     return runner.run(list(tasks))
-
-
-#: Alias of :func:`sweep` for package-root use: ``repro.run_sweep(...)``.
-#: The package root cannot re-export a name called ``sweep`` (it would
-#: shadow the ``repro.sweep`` subpackage on the package object), so the
-#: facade offers both spellings and the root re-exports this one.  See
-#: docs/sweep.md ("Naming").
-run_sweep = sweep
 
 
 def trace(
@@ -200,16 +161,10 @@ def trace(
     return paths
 
 
-def submit(service: JoinService, request: JoinRequest | None = None, **kwargs):
-    """Queue a request on a service (see :meth:`JoinService.submit`)."""
-    return service.submit(request, **kwargs)
-
-
 __all__ = [
     "CacheConfig",
     "CacheReport",
     "DEFAULT_CACHE_DIR",
-    "DEPRECATED_IMPORTS",
     "FaultPlan",
     "InfeasibleJoinError",
     "JoinPlan",
@@ -217,6 +172,7 @@ __all__ = [
     "JoinService",
     "JoinSpec",
     "JoinStats",
+    "JoinVerificationError",
     "PartitionCache",
     "RetryPolicy",
     "ServiceConfig",
@@ -228,12 +184,10 @@ __all__ = [
     "figure4_task",
     "hsm_task",
     "join_task",
-    "plan",
+    "plan_join",
     "run_join",
     "run_service",
     "run_sweep",
     "service_task",
-    "submit",
-    "sweep",
     "trace",
 ]

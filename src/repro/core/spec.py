@@ -32,6 +32,10 @@ class InfeasibleJoinError(RuntimeError):
     """Raised when a join method cannot run within the given resources."""
 
 
+class JoinVerificationError(AssertionError):
+    """A method produced a different result than the reference join."""
+
+
 @dataclasses.dataclass
 class JoinSpec:
     """Inputs and resource budgets for one tertiary join.

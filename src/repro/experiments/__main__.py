@@ -237,8 +237,8 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
         EXPERIMENT3_R_MB,
         EXPERIMENT3_S_MB,
     )
+    from repro import api
     from repro.experiments.harness import run_join
-    from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.metrics import buffer_utilization
 
     os.makedirs(out_dir, exist_ok=True)
@@ -275,7 +275,6 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
     summary: dict[str, object] = {}
     for method in ALL_METHODS:
         symbol = method.symbol
-        slug = symbol.lower().replace("/", "-")
         frame = tape_frame if symbol in _TAPE_TAPE_SYMBOLS else disk_frame
         try:
             stats = run_join(
@@ -303,12 +302,7 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
             "response_s": stats.response_s,
             "step1_s": stats.step1_s,
         }
-        write_jsonl(
-            stats.observer, os.path.join(out_dir, f"trace-{slug}.jsonl"), meta
-        )
-        write_chrome_trace(
-            stats.observer, os.path.join(out_dir, f"trace-{slug}.trace.json"), meta
-        )
+        jsonl_path = api.trace(stats, out_dir, meta=meta)[0]
         method_summary = dict(stats.obs_summary or {})
         method_summary["frame"] = frame["name"]
         if "s_buffer.total" in stats.traces.series:
@@ -318,7 +312,9 @@ def _run_trace_pass(out_dir: str, scale_factor: float, tape_name: str) -> None:
             )
             method_summary["buffer_mean_total_pct"] = figure4["mean_total_pct"]
         summary[symbol] = method_summary
-        print(f"  trace: {symbol} -> trace-{slug}.jsonl", file=sys.stderr)
+        print(
+            f"  trace: {symbol} -> {os.path.basename(jsonl_path)}", file=sys.stderr
+        )
     _write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
     print(f"wrote device traces for {len(summary)} method(s) to {out_dir}")
 

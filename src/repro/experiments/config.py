@@ -102,6 +102,26 @@ class ExperimentScale:
         return r, s
 
 
+#: Process-local memo of generated relations, keyed on
+#: ``(scale, r_mb, s_mb)``.  Sweep points and service admissions reuse a
+#: handful of shapes, and datagen is the expensive part of both, so a
+#: process regenerates each (R, S) pair once, not once per point or job.
+_RELATION_MEMO: dict[tuple, tuple[Relation, Relation]] = {}
+
+
+def memo_relations(
+    scale: ExperimentScale, r_mb: float, s_mb: float
+) -> tuple[Relation, Relation]:
+    """:meth:`ExperimentScale.relations`, memoized in :data:`_RELATION_MEMO`."""
+    key = (scale, r_mb, s_mb)
+    pair = _RELATION_MEMO.get(key)
+    if pair is None:
+        if len(_RELATION_MEMO) > 8:  # bound worker memory across sweeps
+            _RELATION_MEMO.clear()
+        pair = _RELATION_MEMO[key] = scale.relations(r_mb, s_mb)
+    return pair
+
+
 @dataclasses.dataclass(frozen=True)
 class Experiment1Join:
     """One row of Table 3's parameter block (sizes in MB)."""

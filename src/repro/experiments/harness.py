@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from repro.core.registry import method_by_symbol
+from repro import api
 from repro.core.spec import JoinSpec, JoinStats
 from repro.experiments.config import BASE_TAPE, DISK_1996, ExperimentScale
-from repro.relational.join_core import reference_join
 from repro.relational.relation import Relation
 from repro.storage.disk import DiskParameters
 from repro.storage.tape import TapeDriveParameters
-
-
-class JoinVerificationError(AssertionError):
-    """A method produced a different result than the reference join."""
 
 
 def run_join(
@@ -31,13 +26,14 @@ def run_join(
     retry_policy=None,
     partition_cache=None,
 ) -> JoinStats:
-    """Run one method on one configuration; optionally verify the output.
+    """Run one method on one configuration through :func:`repro.api.run_join`.
 
-    Verification recomputes the join in memory and compares cardinality
-    and checksum — expensive for large relations, so experiments sample
-    it rather than verifying every point (tests verify exhaustively).
-    Passing a ``fault_plan`` (``repro.faults``) runs the join with device
-    fault injection and retry/restart recovery; a ``partition_cache``
+    ``verify`` recomputes the join in memory and raises
+    :class:`~repro.core.spec.JoinVerificationError` on a mismatch —
+    expensive for large relations, so experiments sample it rather than
+    verifying every point (tests verify exhaustively).  Passing a
+    ``fault_plan`` (``repro.faults``) runs the join with device fault
+    injection and retry/restart recovery; a ``partition_cache``
     (``repro.hsm``) lets Grace-Hash Step I reuse a prior run's R
     partition.
     """
@@ -57,15 +53,4 @@ def run_join(
         retry_policy=retry_policy,
         partition_cache=partition_cache,
     )
-    stats = method_by_symbol(symbol).run(spec)
-    if verify:
-        expected = reference_join(relation_r, relation_s)
-        if (
-            stats.output.n_pairs != expected.n_pairs
-            or stats.output.checksum != expected.checksum
-        ):
-            raise JoinVerificationError(
-                f"{symbol} produced {stats.output} but the reference join "
-                f"is {expected}"
-            )
-    return stats
+    return api.run_join(spec, method=symbol, verify=verify)

@@ -34,6 +34,9 @@ import typing
 from repro.core.planner import JoinPlan, plan_join
 from repro.core.spec import InfeasibleJoinError, JoinSpec
 from repro.costmodel.formulas import CostBreakdown
+# The one process-local relation memo, shared with the sweep tasks;
+# ``_RELATION_MEMO`` is bound here so it can be cleared through this module.
+from repro.experiments.config import _RELATION_MEMO, memo_relations  # noqa: F401
 from repro.obs.metrics import device_utilization
 from repro.obs.recorder import JoinObserver
 from repro.service.broker import ResourceBroker
@@ -51,20 +54,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.faults.policy import RetryPolicy
     from repro.hsm.catalog import PartitionSetKey
-    from repro.relational.relation import Relation
-
-#: Process-local relation memo: workloads reuse a handful of (r, s)
-#: shapes, and datagen is the expensive part of admission.
-_RELATION_MEMO: dict[tuple, "tuple[Relation, Relation]"] = {}
-
-
-def _relations(config: ServiceConfig, r_mb: float, s_mb: float):
-    key = (dataclasses.astuple(config.scale), r_mb, s_mb)
-    if key not in _RELATION_MEMO:
-        if len(_RELATION_MEMO) > 8:
-            _RELATION_MEMO.clear()
-        _RELATION_MEMO[key] = config.scale.relations(r_mb, s_mb)
-    return _RELATION_MEMO[key]
 
 
 @dataclasses.dataclass
@@ -169,7 +158,7 @@ class JoinService:
                 f"needs {disk:.0f} disk blocks but the service pool holds "
                 f"{scale.blocks(config.pool_disk_mb):.0f}"
             )
-        relation_r, relation_s = _relations(config, request.r_mb, request.s_mb)
+        relation_r, relation_s = memo_relations(scale, request.r_mb, request.s_mb)
         scratch = {}
         if request.scratch_r_mb is not None:
             scratch["scratch_r_blocks"] = scale.blocks(request.scratch_r_mb)

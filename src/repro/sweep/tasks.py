@@ -29,7 +29,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.relational.relation import Relation
+# The one process-local relation memo, shared with the service scheduler;
+# ``_RELATION_MEMO`` is bound here so it can be cleared through this module.
+from repro.experiments.config import (  # noqa: F401
+    _RELATION_MEMO,
+    BASE_TAPE,
+    ExperimentScale,
+    memo_relations,
+)
 from repro.sweep.serialize import (
     disk_from_dict,
     disk_to_dict,
@@ -41,9 +48,6 @@ from repro.sweep.serialize import (
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    # repro.experiments imports the sweep package; resolve the reverse
-    # dependency lazily so either side can be imported first.
-    from repro.experiments.config import ExperimentScale
     from repro.storage.disk import DiskParameters
     from repro.storage.tape import TapeDriveParameters
 
@@ -206,8 +210,6 @@ def _encode_param(value):
 
 
 def _assumption_defaults_media() -> dict:
-    from repro.experiments.config import BASE_TAPE
-
     return {
         "relation_mb": 40960.0,
         "n_volumes": 2,
@@ -223,8 +225,6 @@ def _assumption_defaults_positioning() -> dict:
 
 
 def _assumption_defaults_locate() -> dict:
-    from repro.experiments.config import ExperimentScale
-
     return {
         "locate_s_per_gb": 10.0,
         "scale": ExperimentScale(scale=0.25, tuple_bytes=8192),
@@ -240,31 +240,12 @@ _ASSUMPTION_DEFAULTS = {
 
 # -- executors (worker side) --------------------------------------------------
 
-#: Process-local memo of generated relations, keyed by their generation
-#: parameters.  Sweep points within one experiment share relations, so a
-#: worker regenerates each (R, S) pair once, not once per point.
-_RELATION_MEMO: dict[str, tuple[Relation, Relation]] = {}
-
-
-def _memo_relations(scale: ExperimentScale, r_mb: float, s_mb: float):
-    from repro.sweep.fingerprint import canonical_json
-
-    key = canonical_json({"scale": scale_to_dict(scale), "r": r_mb, "s": s_mb})
-    pair = _RELATION_MEMO.get(key)
-    if pair is None:
-        if len(_RELATION_MEMO) > 8:  # bound worker memory across sweeps
-            _RELATION_MEMO.clear()
-        pair = scale.relations(r_mb, s_mb)
-        _RELATION_MEMO[key] = pair
-    return pair
-
-
 def _run_join_task(payload: dict) -> dict:
     from repro.core.spec import InfeasibleJoinError
     from repro.experiments.harness import run_join
 
     scale = scale_from_dict(payload["scale"])
-    relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
+    relation_r, relation_s = memo_relations(scale, payload["r_mb"], payload["s_mb"])
     fault_plan = retry_policy = None
     faults = payload.get("faults")
     if faults is not None:
@@ -328,7 +309,7 @@ def _run_figure4_task(payload: dict) -> dict:
     from repro.obs.metrics import buffer_utilization
 
     scale = scale_from_dict(payload["scale"])
-    relation_r, relation_s = _memo_relations(scale, payload["r_mb"], payload["s_mb"])
+    relation_r, relation_s = memo_relations(scale, payload["r_mb"], payload["s_mb"])
     capacity = payload["disk_blocks"]
     stats = run_join(
         "CTT-GH",

@@ -1,6 +1,5 @@
-"""The repro.api facade and the legacy-import deprecation shims."""
+"""The repro.api facade: one entry point per capability."""
 
-import importlib
 import warnings
 
 import pytest
@@ -18,11 +17,11 @@ def spec(small_r, small_s):
 
 class TestFacade:
     def test_plan_is_the_planner(self, spec):
-        assert api.plan(spec).chosen == plan_join(spec).chosen
+        assert api.plan_join is plan_join
 
     def test_run_join_plans_runs_and_verifies(self, spec):
         stats = api.run_join(spec, verify=True)
-        assert stats.symbol == api.plan(spec).chosen
+        assert stats.symbol == api.plan_join(spec).chosen
         assert stats.response_s > 0
 
     def test_run_join_honors_a_method_override(self, spec):
@@ -55,23 +54,29 @@ class TestFacade:
                           disk_params=DISK_1996, scale=scale)
             for symbol in ("TT-GH", "DT-GH")
         ]
-        results = api.sweep(tasks, cache_dir=str(tmp_path))
+        results = api.run_sweep(tasks, cache_dir=str(tmp_path))
         assert len(results) == 2
         assert all(not r["infeasible"] for r in results)
         assert all(r["stats"]["response_s"] > 0 for r in results)
 
     def test_submit_builds_requests_from_keywords(self):
         service = api.JoinService()
-        request = api.submit(service, name="q", r_mb=10.0, s_mb=40.0)
+        request = service.submit(name="q", r_mb=10.0, s_mb=40.0)
         assert service.requests == (request,)
 
     def test_root_package_re_exports_the_facade(self):
-        for name in ("plan", "run_join", "trace", "run_service",
-                     "submit", "ServiceConfig", "JoinRequest", "FaultPlan"):
+        for name in ("plan_join", "run_join", "run_sweep", "trace",
+                     "run_service", "ServiceConfig", "JoinRequest", "FaultPlan"):
             assert getattr(repro, name) is getattr(api, name)
 
+    def test_each_verb_has_one_name(self):
+        for alias in ("plan", "sweep", "submit"):
+            assert not hasattr(api, alias)
+        for alias in ("plan", "submit"):
+            assert not hasattr(repro, alias)
+
     def test_root_sweep_stays_a_subpackage(self):
-        """api.sweep must not shadow the repro.sweep subpackage."""
+        """run_sweep must not shadow the repro.sweep subpackage."""
         import types
 
         import repro.sweep
@@ -80,28 +85,15 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("module_name,name", api.DEPRECATED_IMPORTS)
-    def test_legacy_import_warns_and_forwards(self, module_name, name):
-        module = importlib.import_module(module_name)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(module, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) and name in str(w.message)
-            for w in caught
-        ), f"{module_name}.{name} did not warn"
-        assert value is not None
-
-    def test_shimmed_names_still_appear_in_dir(self):
-        import repro.sweep
-
-        assert "SweepRunner" in dir(repro.sweep)
+    """No import shims remain: old root names are gone, facade names are quiet."""
 
     def test_unknown_attributes_still_raise(self):
         import repro.sweep
 
         with pytest.raises(AttributeError):
             repro.sweep.does_not_exist
+        with pytest.raises(AttributeError):
+            repro.sweep.SweepRunner
 
     def test_facade_names_do_not_warn(self):
         with warnings.catch_warnings():
@@ -113,3 +105,24 @@ class TestDeprecationShims:
                 run_join,
                 run_service,
             )
+
+
+class TestVerification:
+    """Both run_join entry points share one verify path and one error."""
+
+    @pytest.mark.parametrize("entry_point", ["api", "harness"])
+    def test_a_disagreeing_reference_raises(self, entry_point, spec, monkeypatch):
+        from repro.experiments import harness
+        from repro.relational.join_core import JoinResult
+
+        monkeypatch.setattr(api, "reference_join", lambda r, s: JoinResult(-1, 0))
+        with pytest.raises(api.JoinVerificationError, match="TT-GH"):
+            if entry_point == "api":
+                api.run_join(spec, method="TT-GH", verify=True)
+            else:
+                harness.run_join(
+                    "TT-GH", spec.relation_r, spec.relation_s,
+                    memory_blocks=spec.memory_blocks,
+                    disk_blocks=spec.disk_blocks, verify=True,
+                )
+        assert issubclass(api.JoinVerificationError, AssertionError)

@@ -170,3 +170,33 @@ class TestTracing:
         assert (tmp_path / "service-sjf.jsonl").exists()
         assert (tmp_path / "service-sjf.trace.json").exists()
         validate_directory(str(tmp_path))
+
+
+class TestRelationMemo:
+    """The service and the sweep tasks draw from one relation memo."""
+
+    def test_scheduler_and_sweep_tasks_share_one_memo(self):
+        from repro.service import scheduler
+        from repro.sweep import tasks
+
+        assert scheduler._RELATION_MEMO is tasks._RELATION_MEMO
+
+    def test_admission_reuses_a_sweep_join_tasks_relations(self, config):
+        from repro.experiments.config import _RELATION_MEMO
+        from repro.sweep.tasks import execute_task, join_task
+
+        _RELATION_MEMO.clear()
+        task = join_task(
+            "TT-GH", 100.0, 400.0, memory_blocks=10.0, disk_blocks=130.0,
+            tape=config.tape, disk_params=config.disk_params, scale=config.scale,
+        )
+        assert not execute_task(task.kind, task.payload)["infeasible"]
+        (pair,) = _RELATION_MEMO.values()
+
+        service = JoinService(config)
+        service.submit(name="q", r_mb=100.0, s_mb=400.0)
+        (job,), rejected = service.admit()
+        assert not rejected
+        assert job.spec.relation_r is pair[0]
+        assert job.spec.relation_s is pair[1]
+        assert len(_RELATION_MEMO) == 1
