@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import typing
 
@@ -116,23 +117,21 @@ def scan_tape(
             data = yield from drive.read_range(file, chunk_start, step)
             yield from consume(data)
         return
-    pending = env.sim.process(
-        drive.read_range(file, bounds[0][0], bounds[0][1]), name="tape-prefetch"
-    )
-    if env.faults is not None:
-        # A consume() fault may abandon the in-flight prefetch; defusing
-        # keeps its own (possibly failed) completion from crashing the
-        # kernel.  Awaited failures still throw into this generator.
-        pending.defused = True
+
+    def prefetch(chunk_start: float, step: float):
+        pending = env.sim.spawn(functools.partial(drive.read, file, chunk_start, step))
+        if env.faults is not None:
+            # A consume() fault may abandon the in-flight prefetch;
+            # defusing keeps its (possibly failed) completion from
+            # crashing the kernel.  Awaited failures still throw here.
+            pending.defused = True
+        return pending
+
+    pending = prefetch(*bounds[0])
     for index in range(len(bounds)):
         data = yield pending
         if index + 1 < len(bounds):
-            chunk_start, step = bounds[index + 1]
-            pending = env.sim.process(
-                drive.read_range(file, chunk_start, step), name="tape-prefetch"
-            )
-            if env.faults is not None:
-                pending.defused = True
+            pending = prefetch(*bounds[index + 1])
         yield from consume(data)
 
 
@@ -330,13 +329,14 @@ class BucketStager:
         layout: GraceHashLayout,
         tuples_per_block: int,
         flush_burst: typing.Callable[[list[tuple[int, DataChunk]]], typing.Generator],
-        buckets: typing.Iterable[int] | None = None,
+        buckets: range | None = None,
         threshold_blocks: float | None = None,
     ):
         self.layout = layout
         self.tuples_per_block = tuples_per_block
         self.flush_burst = flush_burst
-        self.wanted = None if buckets is None else np.asarray(sorted(set(buckets)))
+        #: Consecutive run of bucket ids to keep (None keeps every bucket).
+        self.wanted = buckets
         self._staged: list[np.ndarray] = []
         self._total_tuples = 0
         if threshold_blocks is None:
@@ -346,13 +346,14 @@ class BucketStager:
     def add_keys(self, keys: np.ndarray) -> typing.Generator:
         """Stage raw keys; partition and flush once staging fills.
 
-        With a ``buckets`` filter, keys routed to other buckets are
+        With a ``buckets`` range, keys routed to other buckets are
         discarded immediately (the hash-to-tape scans keep only the
         current group's buckets) and do not count against staging.
         """
-        if self.wanted is not None:
+        wanted = self.wanted
+        if wanted is not None:
             ids = bucket_ids(keys, self.layout.n_buckets)
-            keys = keys[np.isin(ids, self.wanted)]
+            keys = keys[(ids >= wanted.start) & (ids < wanted.stop)]
         if len(keys) == 0:
             return
         self._staged.append(keys)

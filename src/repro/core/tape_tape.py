@@ -79,25 +79,24 @@ def bucket_sizes_blocks(relation: Relation, n_buckets: int) -> np.ndarray:
     return counts / relation.tuples_per_block
 
 
-def pack_bucket_groups(sizes: np.ndarray, capacity_blocks: float) -> list[list[int]]:
+def pack_bucket_groups(sizes: np.ndarray, capacity_blocks: float) -> list[range]:
     """Group consecutive buckets so each group's total fits the assembly area.
 
     Buckets stay in id order so the bucket files land contiguously on tape
-    and Step II can stream them sequentially.  A single bucket larger than
-    the capacity gets its own group and is dumped to tape in mid-scan
-    pieces.
+    and Step II can stream them sequentially; each group is a ``range`` of
+    bucket ids.  A single bucket larger than the capacity gets its own
+    group and is dumped to tape in mid-scan pieces.
     """
-    groups: list[list[int]] = []
-    current: list[int] = []
+    groups: list[range] = []
+    first = 0
     total = 0.0
     for bucket, size in enumerate(sizes):
-        if current and total + size > capacity_blocks:
-            groups.append(current)
-            current, total = [], 0.0
-        current.append(bucket)
+        if bucket > first and total + size > capacity_blocks:
+            groups.append(range(first, bucket))
+            first, total = bucket, 0.0
         total += size
-    if current:
-        groups.append(current)
+    if len(sizes) > first:
+        groups.append(range(first, len(sizes)))
     return groups
 
 

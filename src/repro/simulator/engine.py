@@ -64,6 +64,79 @@ class Simulator:
         """Spawn a new process from ``generator``."""
         return Process(self, generator, name=name)
 
+    def spawn(self, start: typing.Callable[[], Event]) -> Event:
+        """Run a device operation concurrently with the caller.
+
+        ``start`` issues the operation and returns its completion event.
+        It runs one scheduler step from now, and the returned event
+        triggers with the operation's outcome one step after it
+        completes: the same-time order of a helper process running the
+        operation, without the process.
+        """
+        return self._spawn((start,), group=False)
+
+    def spawn_all(self, starts: typing.Sequence[typing.Callable[[], Event]]) -> Event:
+        """Run several device operations concurrently with the caller.
+
+        One scheduler step from now every ``start`` issues its operation,
+        in order.  The returned event triggers two steps after the last
+        operation completes, or fails two steps after the first failure:
+        the same-time order of one helper process per operation joined by
+        :meth:`all_of`.  Later failures are absorbed.
+        """
+        return self._spawn(starts, group=True)
+
+    def _spawn(
+        self, starts: typing.Sequence[typing.Callable[[], Event]], group: bool
+    ) -> Event:
+        done = Event(self)
+        #: Completions still needed; -1 once a failure decided the outcome.
+        left = [len(starts)]
+
+        def settle(op: Event) -> None:
+            if op._exception is None:
+                done.succeed(None if group else op._value)
+            else:
+                done.fail(op._exception)
+
+        def note(op: Event) -> None:
+            if op._exception is None:
+                left[0] -= 1
+                if left[0]:
+                    return
+            elif left[0] < 0:
+                return
+            else:
+                left[0] = -1
+            if group:
+                hop = Event(self)
+                hop.callbacks.append(lambda _event: settle(op))
+                hop.succeed()
+            else:
+                settle(op)
+
+        def boot(_event: Event) -> None:
+            for start in starts:
+                try:
+                    op = start()
+                except Exception as exc:
+                    op = Event(self)
+                    op._exception = exc
+                    op._state = PROCESSED
+                if op.processed:
+                    note(op)
+                else:
+                    op.callbacks.append(note)
+
+        self._boot(boot)
+        return done
+
+    def _boot(self, callback: typing.Callable[[Event], None]) -> None:
+        """Run ``callback`` one scheduler step from now."""
+        bootstrap = Event(self)
+        bootstrap.callbacks.append(callback)
+        bootstrap.succeed()
+
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)

@@ -84,9 +84,6 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
-
     def _succeed_now(self, value=None) -> None:
         """Trigger and process synchronously, skipping the event queue.
 
@@ -102,6 +99,13 @@ class Event:
         self._state = PROCESSED
         for callback in callbacks:
             callback(self)
+
+    def _fail_now(self, exception: BaseException) -> None:
+        """Fail and process synchronously, like :meth:`_succeed_now`."""
+        if self.triggered:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._exception = exception
+        self._succeed_now()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}

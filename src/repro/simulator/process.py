@@ -35,9 +35,7 @@ class Process(Event):
         # synchronously here would be cheaper, but the one-step deferral
         # is observable: it decides same-time ordering of resource
         # requests, and with it arm hand-off and positioning charges.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        sim._boot(self._resume)
 
     @property
     def is_alive(self) -> bool:

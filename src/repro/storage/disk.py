@@ -14,6 +14,7 @@ import dataclasses
 import typing
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 from repro.simulator.resources import Resource
 from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
 from repro.storage.bus import Bus
@@ -181,99 +182,84 @@ class Disk:
     def _release(self, n_blocks: float) -> None:
         self.used_blocks = max(0.0, self.used_blocks - n_blocks)
 
-    # -- I/O operations (generators; use with ``yield from``) -----------------
+    # -- I/O ---------------------------------------------------------------------
 
     def _io(
-        self, extent: DiskExtent, n_blocks: float, kind: str = "disk-read"
-    ) -> typing.Generator:
-        """Hold the arm, pay positioning if not sequential, then transfer."""
+        self,
+        extent: DiskExtent,
+        n_blocks: float,
+        kind: str = "disk-read",
+        far_positions: int | None = None,
+        near_positions: int = 0,
+    ) -> Event:
+        """Hold the arm, pay positioning, then transfer ``n_blocks``.
+
+        The lead-in charges ``far_positions`` full repositions plus
+        ``near_positions`` short ones.  ``far_positions=None`` charges one
+        full reposition unless the previous request hit the same extent
+        (a sequential continuation).  A burst of small requests (bucket
+        flushes, fragment reads) is one call charging every reposition:
+        timing matches issuing them back to back, at the cost of one
+        transfer.
+
+        Returns the completion event.  It triggers inside the transfer's
+        completion, so a process waiting on it resumes at once.
+        """
+        sim = self.sim
+        done = Event(sim)
         req = self.arm.request()
         if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.arm.queue))
-        yield req
-        start = self.sim.now
-        try:
-            positioning = 0.0
-            if self._last_extent is not extent:
-                positioning = self.params.positioning_s
+            self.observer.queue_depth(self.name, sim.now, len(self.arm.queue))
+
+        def finish(transfer: Event, start: float) -> None:
+            self.busy_s += sim.now - start
+            if self.observer is not None:
+                self.observer.device_busy(self.name, start, sim.now, kind)
+                self.observer.queue_depth(self.name, sim.now, len(self.arm.queue))
+            self.arm.release(req)
+            if transfer._exception is None:
+                done._succeed_now()
+            else:
+                done._fail_now(transfer._exception)
+
+        def begin(_granted: Event | None = None) -> None:
+            start = sim.now
+            params = self.params
+            far = far_positions
+            if far is None:
+                far = 0 if self._last_extent is extent else 1
+            lead_in = far * params.positioning_s + near_positions * params.near_positioning_s
             self._last_extent = extent
             n_bytes = self.spec.bytes_from_blocks(n_blocks)
             # Positioning and transfer share one bus event (lead-in).
             if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=positioning
-                )
+                transfer = self.bus.transfer(params.rate_bytes_s, n_bytes, lead_in)
             else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, positioning,
-                    self.name, kind,
+                transfer = self.faults.guarded_transfer(
+                    self.bus, params.rate_bytes_s, n_bytes, lead_in, self.name, kind
                 )
-        finally:
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.arm.queue)
-                )
-            self.arm.release(req)
+            transfer.callbacks.append(lambda event: finish(event, start))
 
-    def _burst_io(
-        self,
-        extent: DiskExtent,
-        n_blocks: float,
-        far_positions: int,
-        near_positions: int,
-        kind: str = "disk-read",
-    ) -> typing.Generator:
-        """One arm hold covering a burst of small requests.
+        if req.processed:
+            begin()
+        else:
+            req.callbacks.append(begin)
+        return done
 
-        Charges ``far_positions`` full repositions plus ``near_positions``
-        short ones, then a single transfer of the burst's total bytes.
-        Timing matches issuing the requests back to back; simulating them
-        as one event keeps large experiments tractable.
-        """
-        req = self.arm.request()
-        if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.arm.queue))
-        yield req
-        start = self.sim.now
-        try:
-            delay = (
-                far_positions * self.params.positioning_s
-                + near_positions * self.params.near_positioning_s
-            )
-            self._last_extent = extent
-            n_bytes = self.spec.bytes_from_blocks(n_blocks)
-            if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=delay
-                )
-            else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, delay,
-                    self.name, kind,
-                )
-        finally:
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.arm.queue)
-                )
-            self.arm.release(req)
+    # -- extent I/O (generators; use with ``yield from``) ------------------------
 
     def write(self, extent: DiskExtent, chunk: DataChunk) -> typing.Generator:
         """Append ``chunk`` to ``extent`` (reserves space up front)."""
         self._reserve(chunk.n_blocks)
         self.write_blocks += chunk.n_blocks
-        yield from self._io(extent, chunk.n_blocks, "disk-write")
+        yield self._io(extent, chunk.n_blocks, "disk-write")
         extent._append(chunk)
 
     def read_all(self, extent: DiskExtent, consume: bool = False) -> typing.Generator:
         """Read the entire extent; optionally release its space."""
         n_blocks = extent.n_blocks
         self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
+        yield self._io(extent, n_blocks)
         if consume:
             return extent._consume_all()
         return extent.peek_all()
@@ -284,7 +270,7 @@ class Disk:
             raise ValueError(f"extent {extent.name!r} is empty")
         n_blocks = extent.chunks[0].n_blocks
         self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
+        yield self._io(extent, n_blocks)
         return extent._consume_next()
 
     def read_range(
@@ -292,5 +278,5 @@ class Disk:
     ) -> typing.Generator:
         """Read a block range without consuming (sequential scans)."""
         self.read_blocks += n_blocks
-        yield from self._io(extent, n_blocks)
+        yield self._io(extent, n_blocks)
         return extent.slice_range(offset_blocks, n_blocks)

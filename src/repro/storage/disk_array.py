@@ -21,6 +21,7 @@ quadratic.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.simulator.engine import Simulator
@@ -228,18 +229,6 @@ class DiskArray:
 
     # -- I/O (generators; use with ``yield from``) --------------------------------
 
-    def _defuse_if_faulty(self, procs: list) -> None:
-        """Pre-defuse concurrent I/O processes when fault injection is on.
-
-        ``all_of`` fails on the *first* failing child; a second concurrent
-        failure would then be an unawaited failed event and crash the
-        kernel instead of reaching the join's recovery path.  Fault-free
-        runs skip this, keeping the seed behaviour bit-identical.
-        """
-        if any(disk.faults is not None for disk in self.disks):
-            for proc in procs:
-                proc.defused = True
-
     def _parallel_io(
         self,
         extent: StripedExtent,
@@ -249,16 +238,14 @@ class DiskArray:
         """Run one I/O on each (disk, blocks) pair concurrently."""
         if len(parts) == 1:
             disk, blocks = parts[0]
-            yield from disk._io(extent._shadows[disk], blocks, kind)
+            yield disk._io(extent._shadows[disk], blocks, kind)
             return
-        procs = [
-            self.sim.process(
-                disk._io(extent._shadows[disk], blocks, kind), name=f"io@{disk.name}"
-            )
-            for disk, blocks in parts
-        ]
-        self._defuse_if_faulty(procs)
-        yield self.sim.all_of(procs)
+        yield self.sim.spawn_all(
+            [
+                functools.partial(disk._io, extent._shadows[disk], blocks, kind)
+                for disk, blocks in parts
+            ]
+        )
 
     def write(self, extent: StripedExtent, chunk: DataChunk) -> typing.Generator:
         """Append ``chunk`` to the extent (placement per array policy)."""
@@ -313,19 +300,20 @@ class DiskArray:
                 disk._reserve(blocks)
                 disk.write_blocks += blocks
                 per_disk.setdefault(disk, []).append((extent, blocks))
-        procs = []
-        for disk, items in per_disk.items():
-            total = sum(blocks for _extent, blocks in items)
-            shadow = items[-1][0]._shadows[disk]
-            procs.append(
-                self.sim.process(
-                    disk._burst_io(shadow, total, 1, len(items) - 1, "disk-write"),
-                    name=f"burst@{disk.name}",
-                )
+        if per_disk:
+            yield self.sim.spawn_all(
+                [
+                    functools.partial(
+                        disk._io,
+                        items[-1][0]._shadows[disk],
+                        sum(blocks for _extent, blocks in items),
+                        "disk-write",
+                        far_positions=1,
+                        near_positions=len(items) - 1,
+                    )
+                    for disk, items in per_disk.items()
+                ]
             )
-        if procs:
-            self._defuse_if_faulty(procs)
-            yield self.sim.all_of(procs)
         placed_chunks = []
         for extent, chunk, placement in placed_by_write:
             placed = _PlacedChunk(chunk, placement, extent)
@@ -352,16 +340,20 @@ class DiskArray:
                 total, count = per_disk.get(disk, (0.0, 0))
                 per_disk[disk] = (total + blocks, count + 1)
                 disk.read_blocks += blocks
-        procs = [
-            self.sim.process(
-                disk._burst_io(extent._shadows[disk], total, 1, count - 1, "disk-read"),
-                name=f"burst@{disk.name}",
+        if per_disk:
+            yield self.sim.spawn_all(
+                [
+                    functools.partial(
+                        disk._io,
+                        extent._shadows[disk],
+                        total,
+                        "disk-read",
+                        far_positions=1,
+                        near_positions=count - 1,
+                    )
+                    for disk, (total, count) in per_disk.items()
+                ]
             )
-            for disk, (total, count) in per_disk.items()
-        ]
-        if procs:
-            self._defuse_if_faulty(procs)
-            yield self.sim.all_of(procs)
         data = DataChunk.concat([placed.data for placed in placed_list])
         if consume:
             for placed in placed_list:

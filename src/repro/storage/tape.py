@@ -19,6 +19,7 @@ import dataclasses
 import typing
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 from repro.simulator.resources import Resource
 from repro.storage.block import MB, BlockSpec, DataChunk, slice_chunks
 from repro.storage.bus import Bus
@@ -220,73 +221,95 @@ class TapeDrive:
             raise RuntimeError(f"drive {self.name} has no volume loaded")
         return self.volume
 
-    # -- I/O operations (generators; use with ``yield from``) ---------------------
+    # -- I/O ---------------------------------------------------------------------
 
     def _op(
-        self, target_block: float, n_blocks: float, kind: str = "tape-read"
-    ) -> typing.Generator:
+        self, target_block: float, n_blocks: float, kind: str = "tape-read", value=None
+    ) -> Event:
         """Hold the drive, reposition if needed, then stream ``n_blocks``.
 
         A drive with READ REVERSE serves a request whose *end* is at the
         current head position by reading backwards — no reposition, and
         the head finishes at the range's start.
+
+        Returns the completion event, carrying ``value``.  It triggers
+        inside the transfer's completion, so a process waiting on it
+        resumes at once.
         """
+        sim = self.sim
+        done = Event(sim)
         req = self.unit.request()
         if self.observer is not None:
-            self.observer.queue_depth(self.name, self.sim.now, len(self.unit.queue))
-        yield req
-        start = self.sim.now
-        reverse = (
-            self.params.supports_read_reverse
-            and abs(self.head_block - (target_block + n_blocks)) <= 1e-9
-            and n_blocks > 0
-        )
-        try:
+            self.observer.queue_depth(self.name, sim.now, len(self.unit.queue))
+
+        def finish(transfer: Event, start: float, reverse: bool) -> None:
+            if transfer._exception is None:
+                self.head_block = target_block if reverse else target_block + n_blocks
+            self._last_op_end = sim.now
+            self.busy_s += sim.now - start
+            if self.observer is not None:
+                self.observer.device_busy(self.name, start, sim.now, kind)
+                self.observer.queue_depth(self.name, sim.now, len(self.unit.queue))
+            self.unit.release(req)
+            if transfer._exception is None:
+                done._succeed_now(value)
+            else:
+                done._fail_now(transfer._exception)
+
+        def begin(_granted: Event | None = None) -> None:
+            start = sim.now
+            params = self.params
+            reverse = (
+                params.supports_read_reverse
+                and abs(self.head_block - (target_block + n_blocks)) <= 1e-9
+                and n_blocks > 0
+            )
             penalty = 0.0
             at_position = reverse or abs(self.head_block - target_block) <= 1e-9
             if not at_position:
-                penalty += self.params.reposition_s
-                if self.params.locate_s_per_gb > 0:
+                penalty += params.reposition_s
+                if params.locate_s_per_gb > 0:
                     distance_gb = self.spec.bytes_from_blocks(
                         abs(self.head_block - target_block)
                     ) / (1024**3)
-                    penalty += distance_gb * self.params.locate_s_per_gb
+                    penalty += distance_gb * params.locate_s_per_gb
                 self.repositions += 1
-            elif (
-                self.params.stop_start_penalty_s > 0
-                and self.sim.now - self._last_op_end > 1e-9
-            ):
-                penalty += self.params.stop_start_penalty_s
+            elif params.stop_start_penalty_s > 0 and start - self._last_op_end > 1e-9:
+                penalty += params.stop_start_penalty_s
             n_bytes = self.spec.bytes_from_blocks(n_blocks)
             # Positioning and streaming ride one bus event (lead-in), so a
             # reposition-then-read costs a single scheduled completion.
             if self.faults is None:
-                yield self.bus.transfer(
-                    self.params.rate_bytes_s, n_bytes, lead_in_s=penalty
-                )
+                transfer = self.bus.transfer(params.rate_bytes_s, n_bytes, penalty)
             else:
-                yield from self.faults.guarded_transfer(
-                    self.bus, self.params.rate_bytes_s, n_bytes, penalty,
-                    self.name, kind,
+                transfer = self.faults.guarded_transfer(
+                    self.bus, params.rate_bytes_s, n_bytes, penalty, self.name, kind
                 )
-            self.head_block = target_block if reverse else target_block + n_blocks
-        finally:
-            self._last_op_end = self.sim.now
-            self.busy_s += self.sim.now - start
-            if self.observer is not None:
-                self.observer.device_busy(self.name, start, self.sim.now, kind)
-                self.observer.queue_depth(
-                    self.name, self.sim.now, len(self.unit.queue)
-                )
-            self.unit.release(req)
+            transfer.callbacks.append(lambda event: finish(event, start, reverse))
 
-    def read_range(self, file: TapeFile, offset_blocks: float, n_blocks: float):
-        """Read ``n_blocks`` starting ``offset_blocks`` into ``file``."""
+        if req.processed:
+            begin()
+        else:
+            req.callbacks.append(begin)
+        return done
+
+    def read(self, file: TapeFile, offset_blocks: float, n_blocks: float) -> Event:
+        """Start reading ``n_blocks`` from ``offset_blocks`` into ``file``.
+
+        Returns the completion event; its value is the data read.
+        """
         self._check_mounted(file)
         data = file.slice_range(offset_blocks, n_blocks)
         self.read_blocks += n_blocks
-        yield from self._op(file.start_block + offset_blocks, n_blocks)
-        return data
+        return self._op(file.start_block + offset_blocks, n_blocks, "tape-read", data)
+
+    # -- file I/O (generators; use with ``yield from``) ---------------------------
+
+    def read_range(
+        self, file: TapeFile, offset_blocks: float, n_blocks: float
+    ) -> typing.Generator:
+        """Read ``n_blocks`` starting ``offset_blocks`` into ``file``."""
+        return (yield self.read(file, offset_blocks, n_blocks))
 
     def read_file(self, file: TapeFile) -> typing.Generator:
         """Read an entire file."""
@@ -313,7 +336,7 @@ class TapeDrive:
                 f"{requirement}"
             )
         self.write_blocks += chunk.n_blocks
-        yield from self._op(file.end_block, chunk.n_blocks, "tape-write")
+        yield self._op(file.end_block, chunk.n_blocks, "tape-write")
         file._append(chunk)
 
     def rewind(self) -> typing.Generator:

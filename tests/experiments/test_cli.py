@@ -5,30 +5,39 @@ import pytest
 from repro.experiments.__main__ import main
 
 
+def cached(tmp_path, *argv):
+    """CLI arguments with the sweep cache kept under ``tmp_path``.
+
+    Without ``--cache-dir`` the CLI reads and writes ``.sweep-cache/`` in
+    the working directory, and a later run would be served stale results.
+    """
+    return [*argv, "--cache-dir", str(tmp_path / "sweep-cache")]
+
+
 class TestCli:
-    def test_analytical_figures_are_fast(self, capsys):
-        assert main(["fig1", "fig2", "fig3"]) == 0
+    def test_analytical_figures_are_fast(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "fig1", "fig2", "fig3")) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out and "Figure 2" in out and "Figure 3" in out
 
-    def test_scaled_table3(self, capsys):
-        assert main(["table3", "--scale", "0.05"]) == 0
+    def test_scaled_table3(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "table3", "--scale", "0.05")) == 0
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "Join IV" in out
 
-    def test_scaled_fig4(self, capsys):
-        assert main(["fig4", "--scale", "0.1"]) == 0
+    def test_scaled_fig4(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "fig4", "--scale", "0.1")) == 0
         assert "utilization" in capsys.readouterr().out
 
-    def test_exp3_with_tape_choice(self, capsys):
-        assert main(["exp3", "--scale", "0.15", "--tape", "fast"]) == 0
+    def test_exp3_with_tape_choice(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "exp3", "--scale", "0.15", "--tape", "fast")) == 0
         out = capsys.readouterr().out
         assert "fast tape" in out
         assert "Figure 8" in out
 
-    def test_duplicate_artifacts_run_once(self, capsys):
-        assert main(["fig1", "fig1"]) == 0
+    def test_duplicate_artifacts_run_once(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "fig1", "fig1")) == 0
         assert capsys.readouterr().out.count("Figure 1 (small |R|)") == 1
 
     def test_unknown_artifact_rejected(self):
@@ -41,7 +50,9 @@ class TestJsonExport:
         import json
 
         out = tmp_path / "artifacts.json"
-        assert main(["fig1", "table3", "--scale", "0.05", "--json", str(out)]) == 0
+        assert main(
+            cached(tmp_path, "fig1", "table3", "--scale", "0.05", "--json", str(out))
+        ) == 0
         data = json.loads(out.read_text())
         assert set(data) == {"fig1", "table3"}
         assert len(data["table3"]["rows"]) == 4
@@ -51,8 +62,8 @@ class TestJsonExport:
             for v in series
         )
 
-    def test_assumptions_artifact(self, capsys):
-        assert main(["assumptions"]) == 0
+    def test_assumptions_artifact(self, capsys, tmp_path):
+        assert main(cached(tmp_path, "assumptions")) == 0
         out = capsys.readouterr().out
         assert "media exchanges" in out
         assert "disk positioning" in out
@@ -77,7 +88,10 @@ class TestTraceOut:
     def trace_dir(self, tmp_path_factory):
         """One shared trace pass at small scale (runs every method once)."""
         out = tmp_path_factory.mktemp("traces")
-        assert main(["fig1", "--scale", "0.05", "--trace-out", str(out)]) == 0
+        cache = tmp_path_factory.mktemp("cache")
+        assert main(
+            cached(cache, "fig1", "--scale", "0.05", "--trace-out", str(out))
+        ) == 0
         return out
 
     def test_every_method_emits_both_formats(self, trace_dir):

@@ -76,6 +76,7 @@ class TestCli:
         assert main([
             "exp4", "--scale", "0.05", "--fault-rate", "0.01",
             "--fault-seed", "3", "--json", str(out),
+            "--cache-dir", str(tmp_path / "sweep-cache"),
         ]) == 0
         assert "Experiment 4" in capsys.readouterr().out
         data = json.loads(out.read_text())["exp4"]

@@ -1,11 +1,14 @@
-"""Byte-stability of the pre-refactor artifacts across the api redesign.
+"""Byte-stability of the pinned experiment artifacts.
 
-The facade, the deprecation shims and the import migration must not
-perturb a single simulated number: each hash below is the sha256 of the
-canonical JSON of an artifact, recorded on the commit *before* this
-refactor ("Add device-utilization observability layer...").  A mismatch
-means the refactor changed experiment output — a regression, not a
-baseline to re-record.
+Each hash below is the sha256 of the canonical JSON of an artifact,
+recorded on the commit that added the device-utilization observability
+layer.  Every later change to the api facade, the sweep cache or the
+simulation kernel must reproduce them exactly, faults off and on (exp4
+injects faults at rates above zero).  That includes running device
+operations as event chains instead of helper processes: a refactor or a
+speed-up may not move a single simulated number.  A mismatch means the
+change moved experiment output — a regression, not a baseline to
+re-record.
 """
 
 import hashlib

@@ -137,8 +137,8 @@ class TestTiming:
 
     def test_burst_io_charges_near_positions(self, sim, disk):
         extent = disk.allocate("data")
-        shadow = extent  # burst api takes the extent as position identity
-        run(sim, disk._burst_io(shadow, 35.0, far_positions=1, near_positions=9))
+        # One operation charging a burst's repositions as its lead-in.
+        sim.run(disk._io(extent, 35.0, far_positions=1, near_positions=9))
         expected = (
             disk.params.positioning_s
             + 9 * disk.params.near_positioning_s
